@@ -3,41 +3,101 @@
 A relation is keyed by tuple identifier — the database-facing view of the
 paper's "finite n-ary set" sort, enriched with the identifier function
 ``id``.  All update operations return new relations; unchanged relations are
-shared between states (see DESIGN.md decision 1).
+shared between states, and an updated relation shares every untouched
+node of its persistent maps with the version it came from (see DESIGN.md
+decision 1).
+
+Three things ride along with the tuples, each kept up to date per update
+instead of recomputed:
+
+* the **value index** (values → identifier), which answers membership by
+  value, set-semantics duplicate checks and delete-by-value without a scan;
+* the **content hash**, a commutative sum of per-``(tid, values)`` hashes,
+  so equal contents hash equal whatever the order they were built in;
+* validation: identifier keys and arities are checked where tuples enter —
+  :meth:`Relation.with_tuple` and construction from a plain mapping — and
+  never again on persistent updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from repro.errors import EvaluationError, SchemaError
+from repro.db.pmap import PMap
 from repro.db.values import Atom, DBTuple, TupleId, TupleSet
+from repro.errors import EvaluationError, SchemaError
+
+_HASH_MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
+def _tids(held: TupleId | tuple) -> tuple:
+    return held if type(held) is tuple else (held,)
+
+
+def _index_add(index: PMap, values: tuple, tid: TupleId) -> PMap:
+    # The index maps values to the one identifier holding them, or to a
+    # sorted tuple of identifiers when ``modify`` made duplicates.
+    held = index.get(values)
+    if held is None:
+        return index.set(values, tid)
+    return index.set(values, tuple(sorted(_tids(held) + (tid,))))
+
+
+def _index_remove(index: PMap, values: tuple, tid: TupleId) -> PMap:
+    held = index.get(values)
+    if type(held) is not tuple:
+        return index.discard(values)
+    rest = tuple(x for x in held if x != tid)
+    return index.set(values, rest[0] if len(rest) == 1 else rest)
+
+
 class Relation:
     """An immutable named relation.
 
-    ``tuples`` maps tuple identifier to the tuple's current value.  The
-    mapping is never mutated after construction.
+    ``tuples`` maps tuple identifier to the tuple's current value and
+    iterates in identifier order.  ``Relation(name, arity, mapping)``
+    validates every entry; updates go through :meth:`with_tuple` and
+    :meth:`without_tuple`.
     """
 
-    name: str
-    arity: int
-    tuples: Mapping[TupleId, DBTuple] = field(default_factory=dict)
+    __slots__ = ("name", "arity", "tuples", "_index", "_hsum", "_hash")
 
-    def __post_init__(self) -> None:
-        for tid, t in self.tuples.items():
-            if t.tid != tid:
+    def __init__(
+        self,
+        name: str,
+        arity: int,
+        tuples: Mapping[TupleId, DBTuple] | None = None,
+    ) -> None:
+        entries = list(tuples.items()) if tuples else []
+        by_value: dict = {}
+        hsum = 0
+        for tid, t in entries:
+            if type(tid) is not int or tid < 0 or t.tid != tid:
                 raise SchemaError(
-                    f"relation {self.name}: tuple keyed {tid} carries id {t.tid}"
+                    f"relation {name}: tuple keyed {tid!r} carries id {t.tid}"
                 )
-            if t.arity != self.arity:
+            if t.arity != arity:
                 raise SchemaError(
-                    f"relation {self.name} (arity {self.arity}) contains a "
+                    f"relation {name} (arity {arity}) contains a "
                     f"tuple of arity {t.arity}"
                 )
+            held = by_value.get(t.values)
+            by_value[t.values] = (
+                tid if held is None else tuple(sorted(_tids(held) + (tid,)))
+            )
+            hsum += hash((tid, t.values))
+        _init(self, name, arity, PMap(entries), PMap(by_value), hsum)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Relation is immutable (set {name!r})")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Relation is immutable (delete {name!r})")
+
+    def _derive(self, tuples: PMap, index: PMap, hsum: int) -> "Relation":
+        new = object.__new__(Relation)
+        _init(new, self.name, self.arity, tuples, index, hsum)
+        return new
 
     # -- queries -------------------------------------------------------------
 
@@ -52,13 +112,21 @@ class Relation:
         otherwise (freshly constructed tuples)."""
         if t.tid is not None:
             return t.tid in self.tuples
-        return any(existing.values == t.values for existing in self.tuples.values())
+        return t.values in self._index
 
     def get(self, tid: TupleId) -> DBTuple | None:
         return self.tuples.get(tid)
 
     def has_value(self, values: tuple[Atom, ...]) -> bool:
-        return any(t.values == values for t in self.tuples.values())
+        return values in self._index
+
+    def find(self, values: tuple[Atom, ...]) -> DBTuple | None:
+        """The tuple holding ``values`` (the lowest identifier when
+        several do), or ``None``."""
+        held = self._index.get(values)
+        if held is None:
+            return None
+        return self.tuples.get(_tids(held)[0])
 
     def to_tuple_set(self) -> TupleSet:
         """The relation's value as an n-set (the fluent RelConst's value)."""
@@ -68,49 +136,80 @@ class Relation:
 
     def with_tuple(self, t: DBTuple) -> "Relation":
         """Insert or replace the identified tuple ``t``."""
-        if t.tid is None:
+        tid = t.tid
+        if tid is None:
             raise EvaluationError(
                 f"relation {self.name}: cannot store an unidentified tuple"
             )
-        new = dict(self.tuples)
-        new[t.tid] = t
-        return Relation(self.name, self.arity, new)
+        if type(tid) is not int or tid < 0:
+            raise SchemaError(f"relation {self.name}: bad tuple id {tid!r}")
+        if t.arity != self.arity:
+            raise SchemaError(
+                f"relation {self.name} (arity {self.arity}) contains a "
+                f"tuple of arity {t.arity}"
+            )
+        old = self.tuples.get(tid)
+        if old is t:
+            return self
+        index = self._index
+        hsum = self._hsum + hash((tid, t.values))
+        if old is None:
+            index = _index_add(index, t.values, tid)
+        else:
+            hsum -= hash((tid, old.values))
+            if old.values != t.values:
+                index = _index_add(
+                    _index_remove(index, old.values, tid), t.values, tid
+                )
+        return self._derive(self.tuples.set(tid, t), index, hsum)
 
     def without_tuple(self, tid: TupleId) -> "Relation":
         """Remove the tuple with identifier ``tid`` (no-op when absent)."""
-        if tid not in self.tuples:
+        old = self.tuples.get(tid)
+        if old is None:
             return self
-        new = dict(self.tuples)
-        del new[tid]
-        return Relation(self.name, self.arity, new)
+        return self._derive(
+            self.tuples.discard(tid),
+            _index_remove(self._index, old.values, tid),
+            self._hsum - hash((tid, old.values)),
+        )
 
     # -- structural equality -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return (
-            self.name == other.name
+        return self is other or (
+            self._hash == other._hash
+            and self.name == other.name
             and self.arity == other.arity
-            and dict(self.tuples) == dict(other.tuples)
+            and self.tuples == other.tuples
         )
 
     def __hash__(self) -> int:
-        # Relations are immutable and shared structurally between states, so
-        # the hash is computed once and cached (graph/dict-heavy paths hash
-        # the same relation thousands of times).
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(
-                (self.name, self.arity, frozenset(self.tuples.items()))
-            )
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return self._hash
+
+    def __repr__(self) -> str:
+        rows = dict(self.tuples.items())
+        return f"Relation({self.name!r}, {self.arity}, {rows!r})"
 
     def __str__(self) -> str:
-        rows = ", ".join(str(t) for t in sorted(self, key=lambda t: t.tid or 0))
+        rows = ", ".join(str(t) for t in self)
         return f"{self.name}{{{rows}}}"
 
 
+def _init(
+    rel: Relation, name: str, arity: int, tuples: PMap, index: PMap, hsum: int
+) -> None:
+    hsum &= _HASH_MASK
+    setattr_ = object.__setattr__
+    setattr_(rel, "name", name)
+    setattr_(rel, "arity", arity)
+    setattr_(rel, "tuples", tuples)
+    setattr_(rel, "_index", index)
+    setattr_(rel, "_hsum", hsum)
+    setattr_(rel, "_hash", hash((name, arity, hsum)))
+
+
 def empty_relation(name: str, arity: int) -> Relation:
-    return Relation(name, arity, {})
+    return Relation(name, arity)

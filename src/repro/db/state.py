@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.errors import EvaluationError, SchemaError
-from repro.db.ownermap import OwnerMap
+from repro.db.pmap import PMap
 from repro.db.relation import Relation, empty_relation
 from repro.db.schema import Schema
 from repro.db.values import Atom, DBTuple, TupleId, TupleSet
@@ -25,16 +25,21 @@ from repro.db.values import Atom, DBTuple, TupleId, TupleSet
 class State:
     """An immutable database state.
 
-    ``owner`` maps each live tuple identifier to the relation holding it;
-    ``next_tid`` is the fresh-identifier allocator, kept in the state so that
-    evaluation is deterministic (the paper's transactions are deterministic
-    programs: the resulting state is uniquely determined by the initial state
-    and the transaction).
+    ``owner`` maps each live tuple identifier to the relation holding it (a
+    :class:`~repro.db.pmap.PMap`; a plain mapping is converted on
+    construction); ``next_tid`` is the fresh-identifier allocator, kept in
+    the state so that evaluation is deterministic (the paper's transactions
+    are deterministic programs: the resulting state is uniquely determined
+    by the initial state and the transaction).
     """
 
     relations: Mapping[str, Relation] = field(default_factory=dict)
-    owner: Mapping[TupleId, str] = field(default_factory=dict)
+    owner: Mapping[TupleId, str] = field(default_factory=PMap)
     next_tid: int = 1
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.owner, PMap):
+            object.__setattr__(self, "owner", PMap(self.owner))
 
     # -- access ---------------------------------------------------------------
 
@@ -121,17 +126,16 @@ class State:
             existing = rel.get(t.tid)
             if existing is not None and existing.values == t.values:
                 return self, existing
-        if rel.has_value(t.values):
-            for existing in rel:
-                if existing.values == t.values:
-                    return self, existing
+        existing = rel.find(t.values)
+        if existing is not None:
+            return self, existing
         identified = t if t.tid is not None and t.tid not in self.owner else t.with_tid(
             self.next_tid
         )
         allocated = identified.tid == self.next_tid
         new_rels = dict(self.relations)
         new_rels[name] = rel.with_tuple(identified)
-        new_owner = OwnerMap.wrap(self.owner).set(identified.tid, name)
+        new_owner = self.owner.set(identified.tid, name)
         return (
             State(
                 new_rels,
@@ -146,12 +150,13 @@ class State:
         rel = self.relation(name)
         tid = t.tid
         if tid is None or rel.get(tid) is None:
-            tid = next((x.tid for x in rel if x.values == t.values), None)
-            if tid is None:
+            existing = rel.find(t.values)
+            if existing is None:
                 return self
+            tid = existing.tid
         new_rels = dict(self.relations)
         new_rels[name] = rel.without_tuple(tid)
-        new_owner = OwnerMap.wrap(self.owner).discard(tid)
+        new_owner = self.owner.discard(tid)
         return State(new_rels, new_owner, self.next_tid)
 
     def modify_tuple(self, t: DBTuple, index: int, value: Atom) -> "State":
@@ -184,7 +189,7 @@ class State:
                 f"assign to {name}: set arity {value.arity} != {arity}"
             )
         old = self.relations.get(name)
-        new_owner = OwnerMap.wrap(self.owner)
+        new_owner = self.owner
         if old is not None:
             for t in old:
                 new_owner = new_owner.discard(t.tid)
@@ -222,13 +227,13 @@ class State:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, State):
             return NotImplemented
-        return dict(self.relations) == dict(other.relations)
+        return self is other or dict(self.relations) == dict(other.relations)
 
     def __hash__(self) -> int:
         # States are immutable; the evolution graph keys its nodes by state,
-        # so every commit hashes states repeatedly.  Cache the hash — the
-        # per-relation hashes underneath are themselves cached, so even the
-        # first computation is a cheap fold over shared relations.
+        # so every commit hashes states repeatedly.  Cache the hash — a fold
+        # of the relations' hashes, which each relation keeps up to date per
+        # update, so no tuple is visited here.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash(

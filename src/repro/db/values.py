@@ -69,7 +69,11 @@ class DBTuple:
         return DBTuple(self.tid, new_values)
 
     def with_tid(self, tid: TupleId) -> "DBTuple":
-        return DBTuple(tid, self.values)
+        # The values were checked when this tuple was built.
+        new = object.__new__(DBTuple)
+        object.__setattr__(new, "tid", tid)
+        object.__setattr__(new, "values", self.values)
+        return new
 
     def identifier(self) -> TupleId:
         """The paper's ``id(t)``; raises for unidentified fresh tuples."""

@@ -164,7 +164,8 @@ def value_to_doc(value: object) -> dict:
 
     Atoms, tuples, tuple sets, and relation identifiers all cross the wire;
     tuple identifiers survive, so "the same employee" stays the same tuple
-    on the client side.
+    on the client side.  Fresh tuples (a projection's rows, say) carry no
+    identifier and cross as ``tid: null``.
     """
     if isinstance(value, DBTuple):
         return {"k": "tuple", "tid": value.tid, "values": list(value.values)}
@@ -174,7 +175,9 @@ def value_to_doc(value: object) -> dict:
             "arity": value.arity,
             "rows": [
                 [t.tid, list(t.values)]
-                for t in sorted(value, key=lambda t: t.tid)
+                for t in sorted(
+                    value, key=lambda t: (t.tid is None, t.tid or 0, t.values)
+                )
             ],
         }
     if isinstance(value, RelationId):
@@ -184,6 +187,10 @@ def value_to_doc(value: object) -> dict:
     return {"k": "atom", "v": value}
 
 
+def _tid_from_doc(tid: object) -> int | None:
+    return None if tid is None else int(tid)  # type: ignore[arg-type]
+
+
 def value_from_doc(doc: dict) -> object:
     """Rebuild a query result from :func:`value_to_doc` output."""
     try:
@@ -191,10 +198,11 @@ def value_from_doc(doc: dict) -> object:
         if kind == "atom":
             return doc["v"]
         if kind == "tuple":
-            return DBTuple(int(doc["tid"]), tuple(doc["values"]))
+            return DBTuple(_tid_from_doc(doc["tid"]), tuple(doc["values"]))
         if kind == "set":
             tuples = [
-                DBTuple(int(tid), tuple(values)) for tid, values in doc["rows"]
+                DBTuple(_tid_from_doc(tid), tuple(values))
+                for tid, values in doc["rows"]
             ]
             return TupleSet.of(int(doc["arity"]), tuples)
         if kind == "rid":

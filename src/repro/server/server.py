@@ -762,11 +762,16 @@ class TransactionServer:
             self._query_pool,
             lambda: self.database.query(program, *args, budget=budget),
         )
-        return {
-            "type": "RESULT",
-            "id": message["id"],
-            "result": value_to_doc(value),
-        }
+        try:
+            result = value_to_doc(value)
+        except ProtocolError:
+            raise
+        except Exception as err:
+            # A result the codec cannot encode still gets a reply.
+            raise ProtocolError(
+                f"{program.name}: result has no wire encoding: {err!r}"
+            ) from err
+        return {"type": "RESULT", "id": message["id"], "result": result}
 
     # -- metrics helpers ---------------------------------------------------
 

@@ -21,10 +21,10 @@ counter (the only cross-shard synchronization single-shard commits ever
 touch, one lock-protected integer add per block, not per commit) hands out
 contiguous blocks of :data:`ALLOC_BLOCK` identifiers; each shard allocates
 within its current block and every cross-shard transaction evaluates in a
-fresh block, so ids minted concurrently can never collide.  Blocks are
-deliberately small — ``State.owner`` is a dense chunked vector, so id-space
-waste is padding — and a transaction that outgrows its block is simply
-re-evaluated (deterministically) against a fresh block sized to fit.
+fresh block, so ids minted concurrently can never collide.  ``State.owner``
+is a sparse persistent map, so unused ids in a block cost nothing, and a
+transaction that outgrows its block is simply re-evaluated
+(deterministically) against a fresh block sized to fit.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from typing import Optional, Sequence
 
 from repro.concurrent.log import CommitRecord
 from repro.concurrent.scheduler import TransactionOutcome, TransactionStatus
+from repro.db.pmap import PMap
+from repro.db.relation import Relation
 from repro.db.schema import Schema
 from repro.db.state import State, initial_state
 from repro.engine import Database
@@ -71,11 +73,36 @@ from repro.storage.store import Recovery, Store
 from repro.transactions.interpreter import Interpreter
 from repro.transactions.program import DatabaseProgram
 
-#: Default tuple-identifier block span.  Small on purpose: the owner index
-#: is dense over ``[0, next_tid)``, so every unallocated id in a granted
-#: block costs one padding slot; transactions needing more ids than a block
-#: holds re-evaluate against a fresh, larger block.
+#: Default tuple-identifier block span.  Transactions needing more ids than
+#: a block holds re-evaluate against a fresh, larger block.
 ALLOC_BLOCK = 1024
+
+
+def _view_owner(before: State, relations: dict[str, Relation]) -> PMap:
+    """The owner map of ``relations``, derived from ``before``'s by the
+    tuples that changed: O(Δ) for the relations a commit touched."""
+    gone: list = []
+    added: list = []
+    for name, old in before.relations.items():
+        rel = relations.get(name)
+        if rel is old:
+            continue
+        new_tuples = PMap() if rel is None else rel.tuples
+        for tid, was, now in old.tuples.diff(new_tuples):
+            if now is None:
+                gone.append(tid)
+            elif was is None:
+                added.append((tid, name))
+    for name, rel in relations.items():
+        if name not in before.relations:
+            added.extend((tid, name) for tid in rel.tuples)
+    owner = before.owner
+    # Removals first: an identifier may move between two relations.
+    for tid in gone:
+        owner = owner.discard(tid)
+    for tid, name in added:
+        owner = owner.set(tid, name)
+    return owner
 
 
 @dataclass
@@ -914,10 +941,10 @@ class ShardedDatabase:
 
     def _merge(self, states: Sequence[State], next_tid: int) -> State:
         relations = {}
-        owner = {}
+        owner = PMap()
         for state in states:
             relations.update(state.relations)
-            owner.update(state.owner)
+            owner = owner.union(state.owner)
         return State(relations, owner, next_tid)
 
     def _split_views(
@@ -939,12 +966,10 @@ class ShardedDatabase:
             per_shard[target][name] = rel
         views = {}
         for shard in shards:
+            current = shard.db.current
             rels = per_shard[shard.index]
-            owner = {
-                tid: name for name, rel in rels.items() for tid in rel.tuples
-            }
             views[shard.index] = State(
-                rels, owner, shard.db.current.next_tid
+                rels, _view_owner(current, rels), current.next_tid
             )
         return views
 

@@ -47,9 +47,8 @@ def canonical_bytes(doc: object) -> bytes:
 
 
 def _rows(rel: Relation) -> list[list]:
-    return [
-        [tid, list(rel.tuples[tid].values)] for tid in sorted(rel.tuples)
-    ]
+    # ``tuples`` iterates in identifier order.
+    return [[tid, list(t.values)] for tid, t in rel.tuples.items()]
 
 
 def state_to_doc(state: State) -> dict:
@@ -140,16 +139,15 @@ def state_delta(before: State, after: State) -> dict:
         ins: list[list] = []
         mod: list[list] = []
         dels: list[int] = []
-        for tid in sorted(arel.tuples):
-            t = arel.tuples[tid]
-            old = brel.tuples.get(tid)
+        # The two versions share every trie node the commit did not touch;
+        # the diff walks only the others, in identifier order.
+        for tid, old, new in brel.tuples.diff(arel.tuples):
             if old is None:
-                ins.append([tid, list(t.values)])
-            elif old.values != t.values:
-                mod.append([tid, list(t.values)])
-        for tid in sorted(brel.tuples):
-            if tid not in arel.tuples:
+                ins.append([tid, list(new.values)])
+            elif new is None:
                 dels.append(tid)
+            elif old.values != new.values:
+                mod.append([tid, list(new.values)])
         ops = {
             key: val
             for key, val in (("ins", ins), ("mod", mod), ("del", dels))
@@ -173,27 +171,26 @@ def apply_delta(state: State, delta: dict) -> State:
     :func:`state_delta` at its recording site."""
     try:
         relations = dict(state.relations)
-        owner = dict(state.owner)
+        owner = state.owner
         for name in delta.get("dropped", ()):
             gone = relations.pop(name, None)
             if gone is not None:
-                for t in gone:
-                    owner.pop(t.tid, None)
+                for tid in gone.tuples:
+                    owner = owner.discard(tid)
         for name, arity in delta.get("created", ()):
             relations[name] = empty_relation(name, int(arity))
         for name, ops in delta.get("changes", {}).items():
             rel = relations[name]
-            tuples = dict(rel.tuples)
             for tid in ops.get("del", ()):
-                tuples.pop(int(tid), None)
-                owner.pop(int(tid), None)
+                rel = rel.without_tuple(int(tid))
+                owner = owner.discard(int(tid))
             for tid, values in list(ops.get("ins", ())) + list(ops.get("mod", ())):
                 tid = int(tid)
-                tuples[tid] = DBTuple(
-                    tid, tuple(_check_atom_doc(v) for v in values)
+                rel = rel.with_tuple(
+                    DBTuple(tid, tuple(_check_atom_doc(v) for v in values))
                 )
-                owner[tid] = name
-            relations[name] = Relation(rel.name, rel.arity, tuples)
+                owner = owner.set(tid, name)
+            relations[name] = rel
         return State(relations, owner, int(delta["next_tid"]))
     except (KeyError, TypeError, ValueError) as err:
         raise SerializationError(f"malformed delta document: {err}") from err

@@ -15,7 +15,12 @@ import pytest
 
 from repro import Client, Database, TransactionServer
 from repro.db.values import TupleSet
-from repro.errors import ConstraintViolation, ExecutabilityError, SortError
+from repro.errors import (
+    ConstraintViolation,
+    ExecutabilityError,
+    ProtocolError,
+    SortError,
+)
 from repro.logic import builder as b
 from repro.server.protocol import FrameDecoder, encode_message
 from repro.transactions.program import query
@@ -28,7 +33,19 @@ def make_programs(domain):
         domain.create_project,
         query("headcount", (), b.size_of(b.rel("EMP", 5))),
         query("employees", (), b.rel("EMP", 5)),
+        query("names", (), _names()),
+        query("name-of", (b.atom_var("n"),), _names(b.atom_var("n"))),
     ]
+
+
+def _names(only=None):
+    """``{⟨name(e)⟩ | e ∈ EMP}``, optionally only the employee ``only``:
+    a projection, so its rows are fresh (unidentified) tuples."""
+    e = b.ftup_var("e", 5)
+    cond = b.member(e, b.rel("EMP", 5))
+    if only is not None:
+        cond = b.land(cond, b.eq(b.select(e, 1), only))
+    return b.setformer(b.mktuple(b.select(e, 1)), e, cond)
 
 
 @pytest.fixture()
@@ -116,6 +133,33 @@ class TestRequests:
         names = {t.values[0] for t in emps}
         assert "alice" in names
         assert all(isinstance(t.tid, int) for t in emps)
+
+    def test_multi_row_projection_crosses_the_wire(self, client, domain):
+        names = client.query("names")
+        assert isinstance(names, TupleSet)
+        expected = {
+            (t.values[0],) for t in domain.sample_state().relation("EMP")
+        }
+        assert len(expected) > 1
+        assert {t.values for t in names} == expected
+        assert all(t.tid is None for t in names)
+
+    def test_single_row_projection_crosses_the_wire(self, client):
+        one = client.query("name-of", "alice")
+        assert [t.values for t in one] == [("alice",)]
+        assert [t.tid for t in one] == [None]
+
+    def test_unencodable_result_gets_an_error_reply(
+        self, served, client, monkeypatch
+    ):
+        import repro.server.server as server_module
+
+        def broken(value):
+            raise TypeError("no encoding")
+
+        monkeypatch.setattr(server_module, "value_to_doc", broken)
+        with pytest.raises(ProtocolError, match="no wire encoding"):
+            client.query("headcount")
 
     def test_unknown_program_is_typed(self, client):
         with pytest.raises(ExecutabilityError, match="unknown program"):

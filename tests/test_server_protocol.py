@@ -162,6 +162,43 @@ class TestValueDocuments:
         key = lambda t: t.tid
         assert sorted(back, key=key) == sorted(ts, key=key)
 
+    def test_single_row_projection_round_trips(self):
+        """A projection's rows are fresh tuples: no identifier."""
+        ts = TupleSet.of(1, [DBTuple(None, ("alice",))])
+        doc = value_to_doc(ts)
+        assert doc["rows"] == [[None, ["alice"]]]
+        back = value_from_doc(json.loads(json.dumps(doc)))
+        assert back == ts
+        assert [t.tid for t in back] == [None]
+
+    def test_multi_row_projection_round_trips(self):
+        ts = TupleSet.of(
+            2,
+            [
+                DBTuple(None, ("b", 2)),
+                DBTuple(None, ("a", 9)),
+                DBTuple(None, ("a", 1)),
+            ],
+        )
+        doc = value_to_doc(ts)
+        # Deterministic order: by value among unidentified rows.
+        assert [row[1] for row in doc["rows"]] == [["a", 1], ["a", 9], ["b", 2]]
+        back = value_from_doc(json.loads(json.dumps(doc)))
+        assert back.elements == ts.elements
+        assert all(t.tid is None for t in back)
+
+    def test_mixed_identified_and_fresh_rows(self):
+        ts = TupleSet.of(1, [DBTuple(None, ("z",)), DBTuple(4, ("y",))])
+        doc = value_to_doc(ts)
+        assert doc["rows"] == [[4, ["y"]], [None, ["z"]]]
+        back = value_from_doc(doc)
+        assert {(t.tid, t.values) for t in back} == {(4, ("y",)), (None, ("z",))}
+
+    def test_fresh_tuple_round_trips(self):
+        t = DBTuple(None, ("alice", 3))
+        back = value_from_doc(value_to_doc(t))
+        assert back == t and back.tid is None
+
     def test_relation_id_round_trips_with_arity(self):
         rid = RelationId("EMP", 5)
         back = value_from_doc(value_to_doc(rid))

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.db.pmap import PMap
 from repro.db.schema import Schema
 from repro.errors import InDoubt, ShardError
 from repro.logic import builder as b
@@ -279,3 +280,41 @@ class TestDurableSingleShard:
         kinds = {r.kind for r in scan.records}
         # Only the epoch marker — zero decisions, zero coordination.
         assert "decision" not in kinds
+
+
+def _trie_nodes(slot) -> int:
+    if type(slot) is not list:
+        return 0
+    return 1 + sum(_trie_nodes(child) for child in slot)
+
+
+class TestOwnerMaps:
+    def test_single_shard_commit_after_cross_shard_commits(self, tmp_path):
+        """Every cross-shard commit evaluates in a fresh id block, so the
+        shards' ids spread over a wide range.  The owner map a later
+        single-shard commit updates must stay proportional to the shard's
+        live tuples — never padded out to the highest id."""
+        sdb = fresh_db(tmp_path)
+        for k in range(40):
+            sdb.execute(signup, k, f"u{k}")
+        sdb.execute(put_user, 1000, "solo")
+        for shard in sdb.shards:
+            state = shard.db.current
+            live = {
+                t.tid: name
+                for name, rel in state.relations.items()
+                for t in rel
+            }
+            owner = state.owner
+            assert isinstance(owner, PMap)
+            assert dict(owner.items()) == live
+            assert max(live) > 40 * 1024 // 2  # ids really are spread out
+            levels = owner._shift // 5 + 1
+            assert _trie_nodes(owner._root) <= levels * len(live)
+        combined = sdb.combined_state()
+        assert dict(combined.owner.items()) == {
+            t.tid: name
+            for name, rel in combined.relations.items()
+            for t in rel
+        }
+        sdb.close()
