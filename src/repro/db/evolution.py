@@ -12,6 +12,9 @@ enforced/derivable here:
    the null transaction ``Λ``, and the concatenation of two transactions is a
    transaction (:meth:`EvolutionGraph.transitions_from` closes over both).
 
+The graph is stored as a plain adjacency dict: each state maps to its
+outgoing ``(target, label)`` arcs in insertion order.
+
 A :class:`History` is the *partial model* the paper's Section 3 discusses:
 the window of the most recent ``k`` states (``k = 1``: just the current
 state; ``k = None``: the complete history) against which constraints are
@@ -22,9 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
-
-import networkx as nx
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import CheckabilityError
 from repro.db.state import State
@@ -88,37 +89,44 @@ class EvolutionGraph:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.MultiDiGraph()
+        self._out: dict[State, list[tuple[State, str]]] = {}
+        self._edges = 0
+
+    def _arcs(self, state: State) -> list[tuple[State, str]]:
+        try:
+            return self._out[state]
+        except KeyError:
+            raise CheckabilityError("state is not in the evolution graph") from None
 
     # -- construction --------------------------------------------------------
 
     def add_state(self, state: State) -> State:
-        self._graph.add_node(state)
+        self._out.setdefault(state, [])
         return state
 
     def add_transition(self, source: State, target: State, label: str) -> Transition:
         self.add_state(source)
         self.add_state(target)
-        self._graph.add_edge(source, target, label=label)
+        self._out[source].append((target, label))
+        self._edges += 1
         return Transition(((label, source, target),))
 
     # -- interrogation --------------------------------------------------------
 
     def states(self) -> list[State]:
-        return list(self._graph.nodes)
+        return list(self._out)
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._out)
 
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return self._edges
 
     def direct_transitions_from(self, state: State) -> list[Transition]:
         """The single-arc transitions leaving ``state``."""
-        result = []
-        for _, target, data in self._graph.out_edges(state, data=True):
-            result.append(Transition(((data.get("label", "tx"), state, target),)))
-        return result
+        return [
+            Transition(((label, state, target),)) for target, label in self._arcs(state)
+        ]
 
     def transitions_from(
         self, state: State, max_length: int | None = None
@@ -130,8 +138,8 @@ class EvolutionGraph:
         Compositions are enumerated breadth-first without revisiting a
         (target, length) pair unboundedly; cyclic graphs need ``max_length``.
         """
-        yield Transition(())
         frontier: list[Transition] = self.direct_transitions_from(state)
+        yield Transition(())
         length = 1
         while frontier:
             for tr in frontier:
@@ -146,7 +154,7 @@ class EvolutionGraph:
                     composed = tr.then(ext)
                     if composed is not None:
                         next_frontier.append(composed)
-            if max_length is None and length > len(self._graph):
+            if max_length is None and length > len(self._out):
                 raise CheckabilityError(
                     "unbounded transition enumeration over a cyclic evolution "
                     "graph; pass max_length"
@@ -158,10 +166,21 @@ class EvolutionGraph:
         """Is ``target`` reachable from ``source`` (reflexively)?"""
         if source == target:
             return True
-        return nx.has_path(self._graph, source, target)
+        self._arcs(target)  # an unknown target raises, as an unknown source does
+        seen = {source}
+        stack = [source]
+        while stack:
+            for nxt, _ in self._arcs(stack.pop()):
+                if nxt == target:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return False
 
     def successors(self, state: State) -> list[State]:
-        return list(self._graph.successors(state))
+        """The states one arc away from ``state``, each once."""
+        return list(dict.fromkeys(target for target, _ in self._arcs(state)))
 
 
 @dataclass
@@ -223,14 +242,7 @@ class History:
 
     def to_graph(self) -> EvolutionGraph:
         """The evolution graph induced by the window (a chain)."""
-        graph = EvolutionGraph()
-        if not self.states:
-            return graph
-        graph.add_state(self.states[0])
-        for i in range(1, len(self.states)):
-            label = self.labels[i - 1] if i - 1 < len(self.labels) else f"tx{i}"
-            graph.add_transition(self.states[i - 1], self.states[i], label)
-        return graph
+        return chain_graph(self.states, self.labels)
 
     def transition_between(self, source: State, target: State) -> Optional[Transition]:
         """The chain transition from ``source`` to ``target``, if forward."""

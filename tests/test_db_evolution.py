@@ -1,19 +1,24 @@
 """Evolution graphs and histories: the paper's Section 1 properties."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import CheckabilityError
 from repro.db import Schema, History, EvolutionGraph, chain_graph, state_from_rows
 from repro.db.evolution import Transition
 
 
-@pytest.fixture()
-def states():
+def _make_states(sizes):
     schema = Schema()
     schema.add_relation("R", ("a",))
-    return [
-        state_from_rows(schema, {"R": [(i,) for i in range(n)]}) for n in (1, 2, 3, 4)
-    ]
+    return [state_from_rows(schema, {"R": [(i,) for i in range(n)]}) for n in sizes]
+
+
+@pytest.fixture()
+def states():
+    return _make_states((1, 2, 3, 4))
 
 
 class TestTransition:
@@ -90,6 +95,111 @@ class TestEvolutionGraph:
             list(g.transitions_from(states[0]))
         bounded = list(g.transitions_from(states[0], max_length=4))
         assert len(bounded) >= 4
+
+
+class TestUnknownStates:
+    """Queries about a state the graph never saw raise a typed error."""
+
+    @pytest.fixture()
+    def graph(self, states):
+        g = EvolutionGraph()
+        g.add_transition(states[0], states[1], "go")
+        return g
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda g, known, unknown: g.successors(unknown),
+            lambda g, known, unknown: g.direct_transitions_from(unknown),
+            lambda g, known, unknown: list(g.transitions_from(unknown, max_length=2)),
+            lambda g, known, unknown: g.reachable(unknown, known),
+            lambda g, known, unknown: g.reachable(known, unknown),
+        ],
+        ids=["successors", "direct", "transitions_from", "reachable-src", "reachable-dst"],
+    )
+    def test_raises_checkability_error(self, graph, states, query):
+        with pytest.raises(CheckabilityError, match="not in the evolution graph"):
+            query(graph, states[0], states[3])
+
+    def test_reachable_is_reflexive_for_any_state(self, graph, states):
+        assert graph.reachable(states[3], states[3])
+        assert EvolutionGraph().reachable(states[0], states[0])
+
+
+_POOL = _make_states((0, 1, 2, 3))
+_LABELS = ("a", "b", "c")
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("state"), st.integers(0, len(_POOL) - 1)),
+        st.tuples(
+            st.just("arc"),
+            st.integers(0, len(_POOL) - 1),
+            st.integers(0, len(_POOL) - 1),
+            st.sampled_from(_LABELS),
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestEvolutionGraphModel:
+    """The graph against a brute-force reference: an insertion-ordered node
+    list, the arc list, and a transitive closure computed to a fixpoint."""
+
+    @given(_ops)
+    def test_queries_match_reference(self, ops):
+        graph = EvolutionGraph()
+        order: list[int] = []
+        arcs: list[tuple[int, int, str]] = []
+        for op in ops:
+            if op[0] == "state":
+                graph.add_state(_POOL[op[1]])
+                touched = [op[1]]
+            else:
+                _, src, dst, label = op
+                graph.add_transition(_POOL[src], _POOL[dst], label)
+                arcs.append((src, dst, label))
+                touched = [src, dst]
+            order.extend(i for i in touched if i not in order)
+
+        closure = {(u, v) for u, v, _ in arcs}
+        while True:
+            grown = closure | {(a, d) for a, b in closure for c, d in closure if b == c}
+            if grown == closure:
+                break
+            closure = grown
+
+        assert len(graph) == len(order)
+        assert graph.edge_count() == len(arcs)
+        assert graph.states() == [_POOL[i] for i in order]
+        for i, state in enumerate(_POOL):
+            if i not in order:
+                with pytest.raises(CheckabilityError):
+                    graph.successors(state)
+                continue
+            succ = graph.successors(state)
+            assert len(succ) == len(set(succ))
+            assert set(succ) == {_POOL[v] for u, v, _ in arcs if u == i}
+            for j in order:
+                assert graph.reachable(state, _POOL[j]) == (i == j or (i, j) in closure)
+            for k in range(1, 4):
+                expected = _paths(arcs, i, k)
+                got = Counter(t.label for t in graph.transitions_from(state, max_length=k))
+                assert got == expected
+
+
+def _paths(arcs, start, max_length):
+    """Labels of every walk of 0..max_length arcs from ``start``; the walk of
+    zero arcs is the null transaction."""
+    labels = Counter({"Λ": 1})
+    frontier = [(start, ())]
+    for _ in range(max_length):
+        frontier = [
+            (v, walk + (label,)) for node, walk in frontier for u, v, label in arcs if u == node
+        ]
+        labels.update(" ;; ".join(walk) for _, walk in frontier)
+    return labels
 
 
 class TestHistory:
